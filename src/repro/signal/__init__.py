@@ -2,10 +2,12 @@
 
 This subpackage reimplements the small amount of classical signal processing
 the paper's acquisition chain needs — IIR Butterworth design via the bilinear
-transform, zero-phase filtering, anti-aliased decimation, full-wave
+transform into second-order sections (SOS), causal and zero-phase filtering
+with a blocked state-space kernel (whole blocks of samples per matrix
+product, no per-sample loop), anti-aliased decimation, full-wave
 rectification, Welch PSD estimation and linear-envelope extraction — without
-depending on scipy.  The test suite cross-checks the filter implementations
-against scipy as an oracle.
+depending on scipy.  The test suite cross-checks the filters against
+``scipy.signal`` (``sosfilt``, ``sosfiltfilt``, ``butter``) as the oracle.
 """
 
 from repro.signal.filters import (
@@ -13,8 +15,6 @@ from repro.signal.filters import (
     butter_bandpass,
     butter_highpass,
     butter_lowpass,
-    filtfilt,
-    lfilter,
 )
 from repro.signal.envelope import linear_envelope, moving_average
 from repro.signal.notch import notch_filter
@@ -27,8 +27,6 @@ __all__ = [
     "butter_bandpass",
     "butter_highpass",
     "butter_lowpass",
-    "filtfilt",
-    "lfilter",
     "notch_filter",
     "linear_envelope",
     "moving_average",

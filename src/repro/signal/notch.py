@@ -53,5 +53,4 @@ def notch_filter(freq_hz: float, fs: float, quality: float = 30.0) -> IIRFilter:
     cos_w0 = np.cos(w0)
     b = gain * np.array([1.0, -2.0 * cos_w0, 1.0])
     a = np.array([1.0, -2.0 * gain * cos_w0, 2.0 * gain - 1.0])
-    return IIRFilter(b=b, a=a,
-                     description=f"notch {freq_hz:g}Hz Q={quality:g}")
+    return IIRFilter.from_ba(b, a, description=f"notch {freq_hz:g}Hz Q={quality:g}")
