@@ -5,10 +5,13 @@
 PY ?= python
 PYTHONPATH := src
 
-.PHONY: test lint lint-strict lint-changed selftest health bench-lint clean-lint-cache
+.PHONY: test perfbench lint lint-strict lint-changed selftest health bench-lint clean-lint-cache
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest tests/ -q
+
+perfbench:
+	$(PY) -m pytest perfbench -q
 
 lint:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m repro.lint src/repro

@@ -33,12 +33,22 @@ runs the cascade forward and backward over an odd reflection of
 state scaled by the edge sample — the conventions of
 ``scipy.signal.sosfiltfilt``, which the test suite uses as the oracle.  The
 library itself stays numpy-only.
+
+Sharing
+-------
+A design depends only on ``(kind, edges, fs, order)``, so ``butter_*``
+validate their arguments, normalize them to Python numbers and memoize the
+design in a small bounded cache: equal arguments return the same
+:class:`IIRFilter`, and its block kernel is built once.  Filters are
+immutable — ``sos``, ``b``/``a`` and the kernel's arrays are read-only — so
+the shared object is safe to hand to every caller.  (scipy's ``sosfilt``
+wants a writable buffer: give it ``np.array(filt.sos)``.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -56,6 +66,15 @@ __all__ = [
 
 #: Samples per block of the filtering kernel.
 BLOCK = 64
+
+#: Distinct Butterworth designs kept by the memo (the pipeline uses a few).
+DESIGN_CACHE_SIZE = 32
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` with writes disabled, so a shared filter cannot be altered."""
+    array.flags.writeable = False
+    return array
 
 
 def _analog_lowpass_prototype(order: int) -> np.ndarray:
@@ -212,11 +231,11 @@ def _block_kernel(sos: np.ndarray) -> _BlockKernel:
     lag = np.arange(BLOCK)[:, None] - np.arange(BLOCK)[None, :]
     impulse = np.where(lag >= 0, response[np.maximum(lag, 0)], 0.0)
     return _BlockKernel(
-        impulse=impulse,
-        state_to_output=c_powers,
-        input_to_state=b_powers[:, ::-1],
-        advance=np.linalg.matrix_power(a_mat, BLOCK),
-        steady_state=_steady_state(sos),
+        impulse=_read_only(impulse),
+        state_to_output=_read_only(c_powers),
+        input_to_state=_read_only(b_powers[:, ::-1]),
+        advance=_read_only(np.linalg.matrix_power(a_mat, BLOCK)),
+        steady_state=_read_only(_steady_state(sos)),
     )
 
 
@@ -226,7 +245,8 @@ class IIRFilter:
 
     ``sos`` has one row ``[b0, b1, b2, a0, a1, a2]`` per section; rows are
     normalized to ``a0 = 1``.  A biquad given as ``(b, a)`` is one section
-    (:meth:`from_ba`).  Instances are immutable; apply them with
+    (:meth:`from_ba`).  Instances are immutable, arrays included (``sos``,
+    ``b`` and ``a`` are read-only); apply them with
     :meth:`apply` (causal) or :meth:`apply_zero_phase` (forward-backward, no
     phase distortion — what a biomechanics pipeline uses offline).
     """
@@ -240,7 +260,7 @@ class IIRFilter:
             raise SignalError(f"sos must have shape (n_sections, 6), got {sos.shape}")
         if np.any(sos[:, 3] == 0):
             raise SignalError("leading denominator coefficient must be nonzero")
-        object.__setattr__(self, "sos", sos / sos[:, 3:4])
+        object.__setattr__(self, "sos", _read_only(sos / sos[:, 3:4]))
 
     @classmethod
     def from_ba(cls, b, a, description: str = "iir") -> "IIRFilter":
@@ -272,7 +292,7 @@ class IIRFilter:
             a = np.convolve(a, section[3:])
         # Sections padded with roots at the origin leave trailing zeros.
         keep = max(np.flatnonzero(b).max(initial=0), np.flatnonzero(a).max()) + 1
-        return b[:keep], a[:keep]
+        return _read_only(b[:keep]), _read_only(a[:keep])
 
     @property
     def order(self) -> int:
@@ -337,27 +357,49 @@ class IIRFilter:
         return w * fs / (2.0 * np.pi), np.prod(sections, axis=0)
 
 
-def _design(
-    analog_zeros: np.ndarray,
-    analog_poles: np.ndarray,
-    analog_gain: float,
-    fs: float,
-    description: str,
-) -> IIRFilter:
-    z, p, k = _zpk_bilinear(analog_zeros, analog_poles, analog_gain, 2.0 * fs)
-    return IIRFilter(sos=_zpk_to_sos(z, p, k), description=description)
-
-
 def _prewarp(cutoff_hz: float, fs: float) -> float:
     """Pre-warped analog angular frequency for a digital cutoff."""
-    nyq = fs / 2.0
-    check_in_range(cutoff_hz, name="cutoff_hz", low=0.0, high=nyq,
-                   inclusive_low=False, inclusive_high=False)
     return 2.0 * fs * np.tan(np.pi * cutoff_hz / fs)
 
 
+def _check_cutoff(cutoff_hz: float, fs: float) -> float:
+    """A cutoff strictly inside (0, fs/2), as a float."""
+    return check_in_range(cutoff_hz, name="cutoff_hz", low=0.0, high=fs / 2.0,
+                          inclusive_low=False, inclusive_high=False)
+
+
+@lru_cache(maxsize=DESIGN_CACHE_SIZE)
+def _butterworth(
+    kind: str, edges: Tuple[float, ...], fs: float, order: int
+) -> IIRFilter:
+    """The Butterworth design for validated, normalized arguments (memoized)."""
+    proto = _analog_lowpass_prototype(order)
+    if kind == "lowpass":
+        warped = _prewarp(edges[0], fs)
+        zeros, poles, gain = np.array([]), warped * proto, warped**order
+    elif kind == "highpass":
+        # lp -> hp transform: s -> warped / s.  For the unit-gain Butterworth
+        # prototype prod(-p) = 1, so the transformed gain is exactly 1.
+        warped = _prewarp(edges[0], fs)
+        zeros, poles, gain = np.zeros(order, dtype=complex), warped / proto, 1.0
+    else:
+        w1, w2 = _prewarp(edges[0], fs), _prewarp(edges[1], fs)
+        bw = w2 - w1
+        w0 = np.sqrt(w1 * w2)
+        # lp -> bp transform: s -> (s^2 + w0^2) / (bw * s); each prototype
+        # pole p becomes the two roots of s^2 - (p * bw) s + w0^2 = 0.
+        p_bw = proto * bw / 2.0
+        disc = np.sqrt(p_bw**2 - w0**2)
+        poles = np.concatenate([p_bw + disc, p_bw - disc])
+        zeros, gain = np.zeros(order, dtype=complex), bw**order
+    z, p, k = _zpk_bilinear(zeros, poles, gain, 2.0 * fs)
+    band = "-".join(f"{edge:g}" for edge in edges)
+    return IIRFilter(sos=_zpk_to_sos(z, p, k),
+                     description=f"butterworth {kind} {band}Hz order {order}")
+
+
 def butter_lowpass(cutoff_hz: float, fs: float, order: int = 4) -> IIRFilter:
-    """Digital Butterworth low-pass filter.
+    """Digital Butterworth low-pass filter, shared between equal calls.
 
     Parameters
     ----------
@@ -369,31 +411,21 @@ def butter_lowpass(cutoff_hz: float, fs: float, order: int = 4) -> IIRFilter:
         Filter order (number of analog prototype poles).
     """
     order = check_positive_int(order, name="order")
-    warped = _prewarp(cutoff_hz, fs)
-    proto = _analog_lowpass_prototype(order)
-    poles = warped * proto
-    gain = warped**order
-    return _design(np.array([]), poles, gain, fs,
-                   f"butterworth lowpass {cutoff_hz:g}Hz order {order}")
+    cutoff_hz = _check_cutoff(cutoff_hz, fs)
+    return _butterworth("lowpass", (cutoff_hz,), float(fs), int(order))
 
 
 def butter_highpass(cutoff_hz: float, fs: float, order: int = 4) -> IIRFilter:
     """Digital Butterworth high-pass filter (see :func:`butter_lowpass`)."""
     order = check_positive_int(order, name="order")
-    warped = _prewarp(cutoff_hz, fs)
-    proto = _analog_lowpass_prototype(order)
-    # lp -> hp transform: s -> warped / s.  For the unit-gain Butterworth
-    # prototype prod(-p) = 1, so the transformed gain is exactly 1.
-    poles = warped / proto
-    zeros = np.zeros(order, dtype=complex)
-    return _design(zeros, poles, 1.0, fs,
-                   f"butterworth highpass {cutoff_hz:g}Hz order {order}")
+    cutoff_hz = _check_cutoff(cutoff_hz, fs)
+    return _butterworth("highpass", (cutoff_hz,), float(fs), int(order))
 
 
 def butter_bandpass(
     low_hz: float, high_hz: float, fs: float, order: int = 4
 ) -> IIRFilter:
-    """Digital Butterworth band-pass filter.
+    """Digital Butterworth band-pass filter, shared between equal calls.
 
     ``order`` is the prototype order; the resulting digital filter has order
     ``2 * order``, matching the scipy convention where ``butter(N, ..,
@@ -402,17 +434,5 @@ def butter_bandpass(
     order = check_positive_int(order, name="order")
     if not low_hz < high_hz:
         raise SignalError(f"band edges must satisfy low < high, got {low_hz} >= {high_hz}")
-    w1 = _prewarp(low_hz, fs)
-    w2 = _prewarp(high_hz, fs)
-    bw = w2 - w1
-    w0 = np.sqrt(w1 * w2)
-    proto = _analog_lowpass_prototype(order)
-    # lp -> bp transform: s -> (s^2 + w0^2) / (bw * s); each prototype pole p
-    # becomes the two roots of s^2 - (p * bw) s + w0^2 = 0.
-    p_bw = proto * bw / 2.0
-    disc = np.sqrt(p_bw**2 - w0**2)
-    poles = np.concatenate([p_bw + disc, p_bw - disc])
-    zeros = np.zeros(order, dtype=complex)
-    gain = bw**order
-    return _design(zeros, poles, gain, fs,
-                   f"butterworth bandpass {low_hz:g}-{high_hz:g}Hz order {order}")
+    edges = (_check_cutoff(low_hz, fs), _check_cutoff(high_hz, fs))
+    return _butterworth("bandpass", edges, float(fs), int(order))

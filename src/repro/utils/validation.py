@@ -270,6 +270,55 @@ def _match_shape(
                 )
 
 
+def _positional_resolver(signature: inspect.Signature, names: Sequence[str]):
+    """Resolve where each of ``names`` sits in a call, once per function.
+
+    The returned ``resolve(args, kwargs)`` lists the values of ``names`` in
+    order, ``None`` for a parameter left at its default (contracts skip both
+    alike).  It returns ``None`` instead when the call would not bind (too
+    many, missing, unknown or duplicated arguments), so the caller can let
+    ``bind`` raise its usual ``TypeError``.  Signatures with
+    ``*args``/``**kwargs`` get no resolver.
+    """
+    params = list(signature.parameters.values())
+    if any(p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD) for p in params):
+        return None
+    positional = [p.name for p in params
+                  if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    n_positional = len(positional)
+    # A keyword argument binds only past the positional arguments given.
+    keyword_index = {
+        p.name: positional.index(p.name) if p.kind is p.POSITIONAL_OR_KEYWORD
+        else n_positional
+        for p in params if p.kind is not p.POSITIONAL_ONLY
+    }
+    # Required positional parameters precede the defaulted ones.
+    required_positional = [p.name for p in params
+                           if p.name in positional and p.default is p.empty]
+    required_keyword = [p.name for p in params
+                        if p.kind is p.KEYWORD_ONLY and p.default is p.empty]
+    slots = [(name, positional.index(name) if name in positional else n_positional)
+             for name in names]
+
+    def resolve(args: tuple, kwargs: dict):
+        n_args = len(args)
+        if n_args > n_positional:
+            return None
+        for key in kwargs:
+            if keyword_index.get(key, -1) < n_args:
+                return None
+        for name in required_positional[n_args:]:
+            if name not in kwargs:
+                return None
+        for name in required_keyword:
+            if name not in kwargs:
+                return None
+        return [args[index] if index < n_args else kwargs.get(name)
+                for name, index in slots]
+
+    return resolve
+
+
 def shapes(**contracts: str):
     """Declare and enforce array shape contracts on a function's parameters.
 
@@ -277,6 +326,12 @@ def shapes(**contracts: str):
     ``None`` at call time are skipped.  Violations raise
     :class:`repro.errors.ValidationError` naming the parameter, the
     contract, and the offending shape.
+
+    Each contracted parameter's position is resolved when the decorator
+    runs, so a call reads its arguments by index instead of binding the
+    signature; ``*args``/``**kwargs`` signatures and calls that do not bind
+    go through ``inspect.Signature.bind``, which raises the usual
+    ``TypeError``.
 
     The parsed contracts are attached to the wrapper as
     ``__shape_contracts__`` so tools (and :mod:`repro.lint`) can introspect
@@ -292,15 +347,16 @@ def shapes(**contracts: str):
                 f"@shapes on {func.__qualname__} names unknown parameter(s) "
                 f"{unknown}; parameters are {list(signature.parameters)}"
             )
+        resolve = _positional_resolver(signature, list(parsed))
 
         @functools.wraps(func)
         def wrapper(*args, **kwargs):
-            bound = signature.bind(*args, **kwargs)
+            values = None if resolve is None else resolve(args, kwargs)
+            if values is None:
+                bound = signature.bind(*args, **kwargs).arguments
+                values = [bound.get(name) for name in parsed]
             bindings: dict = {}
-            for name, tokens in parsed.items():
-                if name not in bound.arguments:
-                    continue
-                value = bound.arguments[name]
+            for (name, tokens), value in zip(parsed.items(), values):
                 if value is None:
                     continue
                 try:

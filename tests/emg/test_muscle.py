@@ -59,3 +59,52 @@ class TestActivationDynamics:
     def test_starts_from_first_sample(self):
         act = ActivationDynamics().apply(np.full(10, 0.5), fs=100.0)
         assert act[0] == 0.5
+
+
+def numpy_scalar_recurrence(dyn, drive, fs):
+    """The recurrence as it ran on numpy scalars, kept as the oracle."""
+    u = np.asarray(drive, dtype=np.float64)
+    dt = 1.0 / fs
+    a = np.empty_like(u)
+    a[0] = u[0]
+    alpha_act = dt / (dyn.tau_act_s + dt)
+    alpha_deact = dt / (dyn.tau_deact_s + dt)
+    for i in range(1, len(u)):
+        alpha = alpha_act if u[i] > a[i - 1] else alpha_deact
+        a[i] = a[i - 1] + alpha * (u[i] - a[i - 1])
+    return a
+
+
+class TestPythonFloatRecurrence:
+    """``apply`` runs on Python floats; it must match the numpy-scalar loop
+    byte for byte."""
+
+    @pytest.mark.parametrize("length", [1, 2, 5000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_drive_byte_equal(self, length, seed):
+        dyn = ActivationDynamics()
+        drive = np.abs(np.random.default_rng(seed).normal(size=length))
+        got = dyn.apply(drive, fs=1000.0)
+        want = numpy_scalar_recurrence(dyn, drive, 1000.0)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_plateaus_and_ties_byte_equal(self):
+        """Plateaus drive the trace to settle exactly, so ties
+        ``u[i] == a[i-1]`` occur; the step there is ``alpha * 0`` on either
+        branch, and the trace must stay put bit for bit."""
+        dyn = ActivationDynamics(tau_act_s=0.02, tau_deact_s=0.08)
+        drive = np.concatenate([
+            np.zeros(50), np.full(3000, 0.75), np.full(500, 0.25),
+            np.full(200, 1.5), [1.5, 0.0, 0.0, 1.5], np.zeros(1000),
+        ])
+        got = dyn.apply(drive, fs=500.0)
+        want = numpy_scalar_recurrence(dyn, drive, 500.0)
+        # The plateau settles exactly, so the tie case is exercised.
+        assert np.any(want[:-1] == drive[1:])
+        assert got.tobytes() == want.tobytes()
+
+    def test_constant_drive_is_exact(self):
+        drive = np.full(7, 0.3)
+        got = ActivationDynamics().apply(drive, fs=100.0)
+        assert got.tobytes() == drive.tobytes()

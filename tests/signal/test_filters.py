@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 import scipy.signal as ss
 
-from repro.errors import SignalError
+from repro.errors import SignalError, ValidationError
 from repro.signal.filters import (
     BLOCK,
     IIRFilter,
+    _butterworth,
     butter_bandpass,
     butter_highpass,
     butter_lowpass,
@@ -29,10 +30,16 @@ def assert_close(got, want, rel):
     np.testing.assert_allclose(got, want, rtol=0, atol=rel * np.abs(want).max())
 
 
+def writable_sos(filt):
+    """A writable copy of ``filt.sos``: scipy's Cython ``sosfilt`` rejects
+    the read-only arrays that shared filters expose."""
+    return np.array(filt.sos)
+
+
 def zero_phase_oracle(filt, x, axis=0):
     """``sosfiltfilt`` with the library's padding rule, 3 * (order + 1)."""
     padlen = min(3 * (filt.order + 1), x.shape[axis] - 1)
-    return ss.sosfiltfilt(filt.sos, x, axis=axis, padlen=padlen)
+    return ss.sosfiltfilt(writable_sos(filt), x, axis=axis, padlen=padlen)
 
 
 # The pipeline's filters: the Myomonitor 20-450 Hz band, the 1000 -> 120 Hz
@@ -175,7 +182,8 @@ class TestBlockKernelAgainstScipy:
         x = rng.normal(size=shape)
         assert_close(filt.apply_zero_phase(x, axis=axis), zero_phase_oracle(filt, x, axis),
                      rel)
-        assert_close(filt.apply(x, axis=axis), ss.sosfilt(filt.sos, x, axis=axis), rel)
+        assert_close(filt.apply(x, axis=axis), ss.sosfilt(writable_sos(filt), x, axis=axis),
+                     rel)
 
     @pytest.mark.parametrize("name", sorted(PIPELINE_FILTERS))
     def test_empty_input(self, name):
@@ -238,7 +246,7 @@ class TestLfilter:
         zi = ss.sosfilt_zi(filt.sos) * x[0]
         kernel = filt._kernel
         mine = kernel.run(x[:, None], np.outer(kernel.steady_state, x[0]))
-        ref, _ = ss.sosfilt(filt.sos, x, zi=zi)
+        ref, _ = ss.sosfilt(writable_sos(filt), x, zi=zi)
         np.testing.assert_allclose(mine.ravel(), ref, atol=1e-10)
 
     def test_rejects_zero_leading_denominator(self):
@@ -328,3 +336,68 @@ class TestIIRFilterClass:
         x = rng.normal(size=100)
         np.testing.assert_allclose(filt.apply(x), ss.lfilter(filt.b, filt.a, x),
                                    atol=1e-12)
+
+
+class TestSharedDesigns:
+    """``butter_*`` memoize the design: equal arguments share one immutable
+    filter, identical to a fresh design."""
+
+    def test_equal_normalized_arguments_share_one_filter(self):
+        assert butter_bandpass(20, 450, 1000) is butter_bandpass(20.0, 450.0, 1000.0)
+        assert butter_lowpass(48.0, 1000.0, order=8) is butter_lowpass(
+            np.float64(48.0), 1000, order=np.int64(8))
+        assert butter_highpass(30.0, 1000.0) is butter_highpass(30, 1000.0, 4)
+
+    def test_different_arguments_give_different_filters(self):
+        assert butter_lowpass(48.0, 1000.0) is not butter_lowpass(48.0, 1000.0, order=8)
+        assert butter_lowpass(48.0, 1000.0) is not butter_highpass(48.0, 1000.0)
+
+    def test_sections_and_transfer_function_are_read_only(self):
+        filt = butter_bandpass(20.0, 450.0, 1000.0)
+        with pytest.raises(ValueError):
+            filt.sos[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            filt.b[0] = 1.0
+        with pytest.raises(ValueError):
+            filt.a[0] = 1.0
+        for array in vars(filt._kernel).values():
+            assert not array.flags.writeable
+
+    def test_construction_does_not_freeze_the_callers_array(self):
+        sos = ss.butter(2, 10.0, fs=1000.0, output="sos")
+        IIRFilter(sos=sos)
+        assert sos.flags.writeable
+
+    @pytest.mark.parametrize("kind, edges, order", [
+        ("bandpass", (20.0, 450.0), 4),
+        ("lowpass", (48.0,), 8),
+        ("lowpass", (6.0,), 4),
+        ("highpass", (30.0,), 3),
+    ])
+    def test_memoized_design_byte_equal_to_uncached(self, kind, edges, order):
+        make = {"bandpass": butter_bandpass, "lowpass": butter_lowpass,
+                "highpass": butter_highpass}[kind]
+        shared = make(*edges, 1000.0, order=order)
+        fresh = _butterworth.__wrapped__(kind, edges, 1000.0, order)
+        assert fresh is not shared
+        assert fresh.description == shared.description
+        assert fresh.sos.tobytes() == shared.sos.tobytes()
+        x = np.random.default_rng(0).normal(size=700)
+        assert (fresh.apply_zero_phase(x).tobytes()
+                == shared.apply_zero_phase(x).tobytes())
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: butter_lowpass(0.0, 1000.0), ValidationError),
+        (lambda: butter_lowpass(500.0, 1000.0), ValidationError),
+        (lambda: butter_lowpass(float("nan"), 1000.0), ValidationError),
+        (lambda: butter_lowpass("ten", 1000.0), ValidationError),
+        (lambda: butter_lowpass(10.0, 1000.0, order=0), ValidationError),
+        (lambda: butter_lowpass(10.0, 1000.0, order=2.0), ValidationError),
+        (lambda: butter_highpass(-1.0, 1000.0), ValidationError),
+        (lambda: butter_bandpass(450.0, 20.0, 1000.0), SignalError),
+        (lambda: butter_bandpass(20.0, 20.0, 1000.0), SignalError),
+        (lambda: butter_bandpass(20.0, 600.0, 1000.0), ValidationError),
+    ])
+    def test_invalid_arguments_still_raise(self, call, error):
+        with pytest.raises(error):
+            call()

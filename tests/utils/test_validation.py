@@ -1,5 +1,7 @@
 """Validation helpers: acceptance, rejection and message quality."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -270,3 +272,124 @@ class TestShapesDecorator:
 
         with pytest.raises(ValidationError, match=r"membership.*\(w, c\)"):
             f(np.zeros((2, 3, 4)))
+
+
+def _bind_error(func, *args, **kwargs):
+    """The ``TypeError`` message ``Signature.bind`` gives for a call."""
+    with pytest.raises(TypeError) as info:
+        inspect.signature(func).bind(*args, **kwargs)
+    return str(info.value)
+
+
+class TestShapesArgumentResolution:
+    """Contracted values are read by position resolved at decoration time;
+    they must reach the check exactly as ``Signature.bind`` would give them."""
+
+    @staticmethod
+    def _contracted():
+        @shapes(x="(n, d)", centers="(c, d)", weights="(n,)")
+        def f(x, centers, /, m=2.0, weights=None, *, scale=1.0):
+            return x.shape[0] + centers.shape[0]
+
+        return f
+
+    def test_positional_and_keyword_calls(self):
+        @shapes(x="(n, d)", centers="(c, d)")
+        def f(x, centers, m=2.0):
+            return (x.shape, centers.shape, m)
+
+        x, c = np.zeros((4, 3)), np.zeros((2, 3))
+        want = ((4, 3), (2, 3), 2.0)
+        assert f(x, c) == want
+        assert f(x, centers=c) == want
+        assert f(centers=c, x=x) == want
+        assert f(x, c, 3.0)[2] == 3.0
+        assert f(x, c, m=3.0)[2] == 3.0
+        with pytest.raises(ValidationError, match="centers"):
+            f(x, centers=np.zeros((2, 5)))
+        with pytest.raises(ValidationError, match="centers"):
+            f(centers=np.zeros((2, 5)), x=x)
+
+    def test_omitted_defaults_are_not_checked(self):
+        @shapes(x="(n,)", weights="(n,)")
+        def f(x, weights=np.zeros((9, 9))):
+            return x.shape
+
+        # The default breaks the contract, but bind never sees defaults.
+        assert f(np.zeros(4)) == (4,)
+        with pytest.raises(ValidationError, match="weights"):
+            f(np.zeros(4), np.zeros(5))
+
+    def test_none_skipped_by_position_and_keyword(self):
+        f = self._contracted()
+        x, c = np.zeros((4, 3)), np.zeros((2, 3))
+        assert f(x, c, 2.0, None) == 6
+        assert f(x, c, weights=None) == 6
+        assert f(x, c, weights=np.zeros(4), scale=3.0) == 6
+        with pytest.raises(ValidationError, match="weights"):
+            f(x, c, 2.0, np.zeros(5))
+        with pytest.raises(ValidationError, match="weights"):
+            f(x, c, weights=np.zeros(5))
+
+    def test_method_contracts_skip_self(self):
+        class Kernel:
+            @shapes(x="(t, m)", state="(n, m)")
+            def run(self, x, state):
+                return x.shape[1]
+
+        kernel = Kernel()
+        assert kernel.run(np.zeros((5, 2)), np.zeros((4, 2))) == 2
+        assert kernel.run(np.zeros((5, 2)), state=np.zeros((4, 2))) == 2
+        with pytest.raises(ValidationError, match="state"):
+            kernel.run(np.zeros((5, 2)), np.zeros((4, 3)))
+
+    def test_variadic_signatures_fall_back_to_bind(self):
+        @shapes(x="(n, d)", centers="(c, d)")
+        def f(x, *rest, centers=None, **options):
+            return (len(rest), sorted(options))
+
+        x = np.zeros((4, 3))
+        assert f(x, 1, 2, centers=np.zeros((2, 3)), tol=1) == (2, ["tol"])
+        assert f(x) == (0, [])
+        with pytest.raises(ValidationError, match="centers"):
+            f(x, centers=np.zeros((2, 4)))
+        with pytest.raises(ValidationError, match="x"):
+            f(np.zeros(4), 1)
+        with pytest.raises(TypeError) as info:
+            f()
+        assert str(info.value) == _bind_error(f.__wrapped__)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((1, 2, 3, 4, 5), {}),                     # too many positional
+        ((np.zeros((4, 3)),), {}),                 # missing required
+        ((), {}),                                  # nothing given
+        ((1, 2), {"bogus": 1}),                    # unexpected keyword
+        ((1, 2, 3), {"m": 3.0}),                   # multiple values for m
+        ((1,), {"centers": 2}),                    # positional-only by keyword
+    ])
+    def test_arity_errors_match_bind(self, args, kwargs):
+        f = self._contracted()
+        with pytest.raises(TypeError) as info:
+            f(*args, **kwargs)
+        assert str(info.value) == _bind_error(f.__wrapped__, *args, **kwargs)
+
+    def test_too_many_arguments_raise_before_shape_checks(self):
+        @shapes(x="(n, d)")
+        def f(x):
+            return x
+
+        # The bad shape would fail the contract; the arity error wins, as
+        # it did when every call went through bind.
+        with pytest.raises(TypeError) as info:
+            f(np.zeros(3), 1)
+        assert str(info.value) == _bind_error(f.__wrapped__, np.zeros(3), 1)
+
+    def test_missing_required_keyword_only(self):
+        @shapes(x="(n,)")
+        def f(x, *, fs):
+            return fs
+
+        assert f(np.zeros(2), fs=1.0) == 1.0
+        with pytest.raises(TypeError) as info:
+            f(np.zeros(2))
+        assert str(info.value) == _bind_error(f.__wrapped__, np.zeros(2))
